@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..exceptions import InvalidInstanceError
-from ..lp.backends import BACKEND_LABELS
+from ..lp.backends import BACKEND_LABELS, solve_form
 from .affine import Affine
 from .formulations import (
     build_allocation_model,
@@ -128,15 +128,15 @@ def check_deadline_feasibility(
         preemptive=preemptive,
         name="deadline-system2" + ("-preemptive" if preemptive else ""),
     )
-    solution = alloc.model.solve(backend=backend)
+    solution = solve_form(alloc.form, backend)
 
     if not solution.is_optimal:
         return DeadlineFeasibility(
             feasible=False,
             schedule=None,
             num_intervals=len(intervals),
-            lp_variables=alloc.model.num_variables,
-            lp_constraints=alloc.model.num_constraints,
+            lp_variables=alloc.num_variables,
+            lp_constraints=alloc.num_constraints,
             backend=solution.backend,
         )
 
@@ -151,7 +151,7 @@ def check_deadline_feasibility(
         feasible=True,
         schedule=schedule,
         num_intervals=len(intervals),
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.num_variables,
+        lp_constraints=alloc.num_constraints,
         backend=solution.backend,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidInstanceError
+from ..lp.backends import solve_form
 from .affine import Affine
 from .formulations import (
     build_allocation_model,
@@ -124,8 +125,8 @@ def minimize_makespan(
         preemptive=preemptive,
         name="makespan-LP1",
     )
-    solution = alloc.model.solve_or_raise(backend=backend)
-    delta = float(solution.value(alloc.objective_variable))
+    solution = solve_form(alloc.form, backend).raise_unless_optimal(alloc.name)
+    delta = float(solution.values.get(alloc.objective_column, 0.0))
 
     if preemptive:
         schedule = preemptive_schedule_from_solution(alloc, solution, objective_value=delta)
@@ -137,7 +138,7 @@ def minimize_makespan(
         schedule=schedule,
         delta=delta,
         num_intervals=len(intervals),
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.num_variables,
+        lp_constraints=alloc.num_constraints,
         backend=solution.backend,
     )

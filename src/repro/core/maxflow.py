@@ -27,8 +27,8 @@ every probed objective value, the probe exploits the milestone structure:
 * the combinatorial structure of the LP (interval order, allowed allocation
   variables) is constant over a milestone range, so the probe builds **one
   parametric model per range it touches** — with ``F`` as a bounded decision
-  variable — lowers it to a sparse matrix form once, and answers every probe
-  in that range by re-solving with updated ``F`` bounds only;
+  variable — assembled straight into a sparse matrix form once, and answers
+  every probe in that range by re-solving with updated ``F`` bounds only;
 * a probe at ``F`` is answered by minimising ``F`` over the range restricted
   to ``[range_low, F]``.  A *feasible* solve therefore yields the least
   feasible objective of the whole range, not just a yes/no answer.  When that
@@ -66,7 +66,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError, InvalidInstanceError, SolverError
-from ..lp import LPSolution, MatrixForm, to_matrix_form
+from ..lp import LPSolution, MatrixForm
+from ..lp import to_matrix_form  # noqa: F401  (unused here; the perfbench layer tracer wraps it)
 from ..lp.backends import canonical_backend
 from ..lp.revised_simplex import BasisState, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
@@ -161,7 +162,6 @@ class _RangeModel:
     high: Optional[float]
     alloc: AllocationModel
     form: MatrixForm
-    objective_column: int
     basis: Optional[BasisState] = None
     highs_model: Optional[object] = None
 
@@ -183,8 +183,8 @@ class FeasibilityProbe:
     lp_solves:
         Number of probes that required an actual LP solve.
     model_constructions:
-        Number of parametric range models built (each lowered to matrix form
-        exactly once, unless evicted from the size-capped LRU range cache and
+        Number of parametric range models built (each assembled into matrix
+        form exactly once, unless evicted from the size-capped LRU range cache and
         needed again — see ``max_cached_ranges``).
     """
 
@@ -283,7 +283,7 @@ class FeasibilityProbe:
         else:
             self._ranges.move_to_end(k)
         bounds = range_model.form.bounds.copy()
-        bounds[range_model.objective_column] = (
+        bounds[range_model.alloc.objective_column] = (
             low,
             high if high is not None else np.inf,
         )
@@ -298,7 +298,7 @@ class FeasibilityProbe:
                 f"range solve on ({low}, {high}] failed: "
                 f"{solution.message or solution.status}"
             )
-        threshold = solution.values.get(range_model.objective_column, low)
+        threshold = solution.values.get(range_model.alloc.objective_column, low)
         self._feasible_min = min(self._feasible_min, threshold)
         if threshold > low + ABS_TOL:
             self._strict_below = max(self._strict_below, threshold)
@@ -331,12 +331,12 @@ class FeasibilityProbe:
     def _probe_lp(self, objective: float) -> bool:
         range_model = self._range_for(objective)
         bounds = range_model.form.bounds.copy()
-        bounds[range_model.objective_column] = (range_model.low, objective)
+        bounds[range_model.alloc.objective_column] = (range_model.low, objective)
         solution = self._solve_form(range_model.form.with_bounds(bounds), range_model)
         self.lp_solves += 1
 
         if solution.is_optimal:
-            threshold = solution.values.get(range_model.objective_column, objective)
+            threshold = solution.values.get(range_model.alloc.objective_column, objective)
             self._feasible_min = min(self._feasible_min, threshold)
             if threshold > range_model.low + ABS_TOL:
                 # The minimum lies strictly inside the range: by monotonicity
@@ -387,7 +387,7 @@ class FeasibilityProbe:
             name=f"probe-range{k}" + ("-preemptive" if self.preemptive else ""),
         )
         # Every backend except the frozen dense tableau consumes CSR blocks.
-        form = to_matrix_form(alloc.model, sparse=self._backend_kind != "tableau")
+        form = alloc.form if self._backend_kind != "tableau" else alloc.form.densified()
         self.model_constructions += 1
         range_model = _RangeModel(
             index=k,
@@ -395,7 +395,6 @@ class FeasibilityProbe:
             high=high,
             alloc=alloc,
             form=form,
-            objective_column=alloc.objective_variable.index,
         )
         self._ranges[k] = range_model
         while len(self._ranges) > self._max_cached_ranges:
@@ -572,8 +571,8 @@ def minimize_max_weighted_flow(
         milestones=milestones,
         search_range=(search_low, search_high),
         feasibility_checks=feasibility_checks,
-        lp_variables=alloc.model.num_variables,
-        lp_constraints=alloc.model.num_constraints,
+        lp_variables=alloc.num_variables,
+        lp_constraints=alloc.num_constraints,
         preemptive=preemptive,
         backend=solution.backend,
         model_constructions=probe.model_constructions - constructions_before,

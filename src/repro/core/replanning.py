@@ -5,9 +5,9 @@ work at every replanning event: a bounded-precision bisection on the objective
 ``F``, each step of which is one deadline-feasibility test
 (:func:`repro.core.deadline.check_deadline_feasibility`) over the
 sub-instance of remaining work.  Before this module existed, every one of
-those tests rebuilt its allocation LP from scratch — the symbolic model and
-its matrix lowering dominated the cost of a replanning event, and a
-simulation with ``E`` events performed ``E × bisection-steps`` builds.
+those tests rebuilt its allocation LP from scratch — a cost that dominated a
+replanning event — and a simulation with ``E`` events performed
+``E × bisection-steps`` builds.
 
 :class:`ReplanProbe` amortises that work.  The observation is the same one
 behind the milestone machinery of :mod:`repro.core.maxflow`: the *structure*
@@ -18,16 +18,17 @@ allowed/forbidden pattern, while the remaining-work bounds only change
 lengths on the inequality right-hand side).  The probe therefore
 
 * computes the structure signature of every feasibility question it is asked
-  (interval count plus the allowed-variable bitmap — a cheap scan, no LP
-  objects);
-* keeps one **lowered matrix template** per distinct signature in an LRU
+  (interval count plus the allowed-variable bitmap from
+  :func:`~repro.core.formulations.allowed_mask` — the assembler's own rule,
+  one broadcast comparison, no LP objects);
+* keeps one **assembled matrix template** per distinct signature in an LRU
   cache; a cache hit answers the probe by writing the current coefficients
   and interval lengths into copies of the template's arrays and re-solving —
-  no symbolic model, no lowering;
-* on a miss, builds the model through the exact same
-  :func:`~repro.core.formulations.build_allocation_model` →
-  ``to_matrix_form`` pipeline the from-scratch path uses, and records the
-  value positions for later refreshes.
+  no assembly at all;
+* on a miss, assembles the form with the exact same
+  :func:`~repro.core.formulations.build_allocation_model` the from-scratch
+  path uses, and records the value positions for later refreshes (read off
+  the assembled CSR and its per-column index arrays).
 
 Because a refreshed template reproduces the from-scratch LP **bit for bit**
 (same variable order, same constraint order, same coefficient values, same
@@ -43,16 +44,16 @@ economy asserted by ``benchmarks/bench_replanning.py``.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import InvalidInstanceError
-from ..lp import LPSolution, MatrixForm, to_matrix_form
+from ..lp import LPSolution, MatrixForm
+from ..lp import to_matrix_form  # noqa: F401  (unused here; the perfbench layer tracer wraps it)
 from ..obs.metrics import Recorder, get_recorder
 from ..lp.revised_simplex import BasisState, ProgramHandle, solve_matrix_form_revised
 from ..lp.scipy_backend import solve_matrix_form as _scipy_solve_form
@@ -61,6 +62,7 @@ from .deadline import _BACKEND_LABELS, DeadlineFeasibility
 from .maxflow import _normalise_backend
 from .formulations import (
     AllocationModel,
+    allowed_mask,
     build_allocation_model,
     divisible_schedule_from_solution,
     preemptive_schedule_from_solution,
@@ -118,7 +120,7 @@ def remaining_subinstance(
 
 @dataclass
 class _ModelTemplate:
-    """One cached System (2) skeleton: symbolic model plus refresh positions."""
+    """One cached System (2) skeleton: assembled model plus refresh positions."""
 
     alloc: AllocationModel
     form: MatrixForm
@@ -174,7 +176,7 @@ class ReplanProbe:
         Questions that reached a solver (all of them except the trivially
         infeasible deadline-before-release rejections).
     model_constructions:
-        Symbolic-model builds (structure-cache misses).
+        Model assemblies (structure-cache misses).
     cache_hits:
         Questions answered by refreshing a cached template.
     rank_canonicalisations:
@@ -298,9 +300,10 @@ class ReplanProbe:
 
         epochal_times = list(instance.release_dates) + deadlines
         intervals = build_constant_intervals(epochal_times)
-        cuts = _cut_values(intervals)
+        # Interval boundaries: every lower bound plus the final upper bound.
+        cuts = [iv.lower_at(0.0) for iv in intervals] + [iv.upper_at(0.0) for iv in intervals[-1:]]
 
-        allowed = self._allowed_pattern(instance, deadlines, cuts)
+        allowed = allowed_mask(instance, cuts[:-1], cuts[1:], np.asarray(deadlines))
         key = (instance.num_machines, instance.num_jobs, len(intervals), allowed.tobytes())
 
         template = self._templates.get(key)
@@ -341,8 +344,8 @@ class ReplanProbe:
                 feasible=False,
                 schedule=None,
                 num_intervals=len(intervals),
-                lp_variables=alloc.model.num_variables,
-                lp_constraints=alloc.model.num_constraints,
+                lp_variables=alloc.num_variables,
+                lp_constraints=alloc.num_constraints,
                 backend=solution.backend,
             )
 
@@ -350,15 +353,8 @@ class ReplanProbe:
         if build_schedule:
             # The cached skeleton carries the intervals and costs of the probe
             # that built it; rebind the current ones for reconstruction (the
-            # variable mapping — indices and iteration order — is shared).
-            bound = AllocationModel(
-                model=alloc.model,
-                instance=instance,
-                intervals=intervals,
-                variables=alloc.variables,
-                objective_variable=None,
-                sample_objective=0.0,
-            )
+            # column index arrays are shared).
+            bound = replace(alloc, instance=instance, intervals=intervals)
             if self.preemptive:
                 schedule = preemptive_schedule_from_solution(bound, solution)
             else:
@@ -368,8 +364,8 @@ class ReplanProbe:
             feasible=True,
             schedule=schedule,
             num_intervals=len(intervals),
-            lp_variables=alloc.model.num_variables,
-            lp_constraints=alloc.model.num_constraints,
+            lp_variables=alloc.num_variables,
+            lp_constraints=alloc.num_constraints,
             backend=solution.backend,
         )
 
@@ -432,26 +428,6 @@ class ReplanProbe:
             return None
         return order
 
-    def _allowed_pattern(
-        self, instance: Instance, deadlines: Sequence[float], cuts: Sequence[float]
-    ) -> np.ndarray:
-        """The allowed-variable bitmap, with the exact from-scratch comparisons."""
-        num_intervals = max(len(cuts) - 1, 0)
-        pattern = np.zeros((num_intervals, instance.num_jobs, instance.num_machines), dtype=bool)
-        costs = instance.costs
-        for t in range(num_intervals):
-            lower = cuts[t]
-            upper = cuts[t + 1]
-            for j, job in enumerate(instance.jobs):
-                if job.release_date > lower + ABS_TOL:
-                    continue
-                if deadlines[j] < upper - ABS_TOL:
-                    continue
-                for i in range(instance.num_machines):
-                    if math.isfinite(costs[i, j]):
-                        pattern[t, j, i] = True
-        return pattern
-
     def _build_template(
         self,
         instance: Instance,
@@ -472,56 +448,27 @@ class ReplanProbe:
             preemptive=self.preemptive,
             name="deadline-system2" + ("-preemptive" if self.preemptive else ""),
         )
-        form = to_matrix_form(alloc.model, sparse=self._sparse)
         self.model_constructions += 1
 
-        # Inequality rows are, in order: capacity[(t, i)] rows (t-major, only
-        # machines with allowed variables), then — preemptive model only —
-        # job_window[(t, j)] rows.  Within a row the CSR columns are sorted by
-        # variable index, which is creation order (t, j, i)-lexicographic, so
-        # a capacity row's columns run over ascending j and a job-window row's
-        # over ascending i.  Record the (machine, job, interval) source of
-        # every coefficient and right-hand side in that exact order.
-        coef_machines: List[int] = []
-        coef_jobs: List[int] = []
-        row_intervals: List[int] = []
-        for t in range(len(intervals)):
-            for i in range(instance.num_machines):
-                row_jobs = [
-                    j for j in range(instance.num_jobs) if (i, j, t) in alloc.variables
-                ]
-                if not row_jobs:
-                    continue
-                row_intervals.append(t)
-                for j in row_jobs:
-                    coef_machines.append(i)
-                    coef_jobs.append(j)
-        if self.preemptive:
-            for t in range(len(intervals)):
-                for j in range(instance.num_jobs):
-                    row_machines = [
-                        i for i in range(instance.num_machines) if (i, j, t) in alloc.variables
-                    ]
-                    if not row_machines:
-                        continue
-                    row_intervals.append(t)
-                    for i in row_machines:
-                        coef_machines.append(i)
-                        coef_jobs.append(j)
-
+        # System (2) has no F column, so every inequality coefficient sits in
+        # an alpha column: the CSR column indices select the (machine, job)
+        # source of each coefficient, and each row's first column its
+        # interval (rows are never empty).
+        form = alloc.form
+        a_ub = form.a_ub
         template = _ModelTemplate(
             alloc=alloc,
-            form=form,
-            coef_machines=np.asarray(coef_machines, dtype=np.intp),
-            coef_jobs=np.asarray(coef_jobs, dtype=np.intp),
-            row_intervals=np.asarray(row_intervals, dtype=np.intp),
+            form=form if self._sparse else form.densified(),
+            coef_machines=alloc.column_machines[a_ub.indices],
+            coef_jobs=alloc.column_jobs[a_ub.indices],
+            row_intervals=alloc.column_intervals[a_ub.indices[a_ub.indptr[:-1]]],
         )
-        if not self._sparse and form.num_inequalities:
-            rows, cols = np.nonzero(form.a_ub)
-            template.coef_rows = rows
-            template.coef_cols = cols
+        if not self._sparse:
+            template.coef_rows = np.repeat(np.arange(a_ub.shape[0]), np.diff(a_ub.indptr))
+            template.coef_cols = a_ub.indices
+        form = template.form
 
-        # The refresh path must land exactly where the lowering put the
+        # The refresh path must land exactly where the assembler put the
         # original values; verify once per construction, then trust the map.
         refreshed = self._refresh(template, instance, cuts, event_key=None)
         self.coefficient_refreshes -= 1  # verification refresh, not a probe answer
@@ -562,10 +509,7 @@ class ReplanProbe:
         form = template.form
         if not form.num_inequalities:
             return form
-        lengths = np.array(
-            [cuts[t + 1] - cuts[t] for t in range(len(cuts) - 1)], dtype=float
-        )
-        b_ub = lengths[template.row_intervals]
+        b_ub = np.diff(cuts)[template.row_intervals]
         a_ub = self._event_forms.get(event_key) if event_key is not None else None
         if a_ub is None:
             data = np.asarray(instance.costs)[
@@ -595,11 +539,3 @@ class ReplanProbe:
             b_eq=form.b_eq,
             bounds=form.bounds,
         )
-
-
-def _cut_values(intervals: Sequence[TimeInterval]) -> List[float]:
-    """Interval boundary values (lower bounds plus the final upper bound)."""
-    cuts = [interval.lower_at(0.0) for interval in intervals]
-    if intervals:
-        cuts.append(intervals[-1].upper_at(0.0))
-    return cuts

@@ -15,11 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .solution import LPSolution
+from .standard_form import MatrixForm
+
 __all__ = [
     "BACKEND_LABELS",
     "BackendInfo",
     "backend_inventory",
     "canonical_backend",
+    "solve_form",
 ]
 
 #: Requested-name → canonical solution-backend label.  The label is what a
@@ -51,6 +55,18 @@ def canonical_backend(name: str) -> str:
             f"unknown LP backend {name!r}; accepted: "
             + ", ".join(sorted(BACKEND_LABELS))
         ) from None
+
+
+def solve_form(form: MatrixForm, backend: str = "scipy") -> LPSolution:
+    """Cold one-shot solve of a matrix form with any accepted backend name."""
+    from . import _tableau_legacy, highs_backend, revised_simplex, scipy_backend
+
+    return {
+        "scipy-highs": scipy_backend,
+        "simplex-revised": revised_simplex,
+        "simplex": _tableau_legacy,
+        "highspy": highs_backend,
+    }[canonical_backend(backend)].solve_matrix_form(form)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
 from .constraint import Constraint
 from .expression import LinearExpression, Variable, as_expression
-from .solution import LPSolution, LPStatus
+from .solution import LPSolution
 
 __all__ = ["LinearProgram"]
 
@@ -226,16 +225,7 @@ class LinearProgram:
 
     def solve_or_raise(self, backend: str = "scipy", **kwargs) -> LPSolution:
         """Solve and raise a typed exception unless the result is optimal."""
-        solution = self.solve(backend=backend, **kwargs)
-        if solution.status is LPStatus.OPTIMAL:
-            return solution
-        if solution.status is LPStatus.INFEASIBLE:
-            raise InfeasibleProblemError(f"LP {self.name or '<unnamed>'} is infeasible")
-        if solution.status is LPStatus.UNBOUNDED:
-            raise UnboundedProblemError(f"LP {self.name or '<unnamed>'} is unbounded")
-        raise SolverError(
-            f"LP {self.name or '<unnamed>'} failed: {solution.message or 'unknown backend error'}"
-        )
+        return self.solve(backend=backend, **kwargs).raise_unless_optimal(self.name)
 
     # ------------------------------------------------------------------ #
     # Debugging                                                           #

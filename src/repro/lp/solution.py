@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..exceptions import InfeasibleProblemError, SolverError, UnboundedProblemError
 from .expression import LinearExpression, Variable
 
 __all__ = ["LPStatus", "LPSolution"]
@@ -78,6 +79,17 @@ class LPSolution:
     def is_optimal(self) -> bool:
         """Return ``True`` when the solve produced a proven optimum."""
         return self.status.is_optimal
+
+    def raise_unless_optimal(self, label: str) -> "LPSolution":
+        """Return ``self`` when optimal, else raise the status's typed exception."""
+        label = label or "<unnamed>"
+        if self.status is LPStatus.INFEASIBLE:
+            raise InfeasibleProblemError(f"LP {label} is infeasible")
+        if self.status is LPStatus.UNBOUNDED:
+            raise UnboundedProblemError(f"LP {label} is unbounded")
+        if self.status is not LPStatus.OPTIMAL:
+            raise SolverError(f"LP {label} failed: {self.message or 'unknown backend error'}")
+        return self
 
     @property
     def is_infeasible(self) -> bool:

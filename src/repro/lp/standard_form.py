@@ -1,31 +1,36 @@
-"""Lowering of a :class:`~repro.lp.model.LinearProgram` to matrix form.
+"""The matrix form every LP backend solves, and the lowering of DSL models to it.
 
-Both backends consume the same intermediate representation: a minimisation
-problem over the model's original variables with
+:class:`MatrixForm` is the backends' common input: a minimisation problem
+with
 
 * an inequality block ``A_ub @ x <= b_ub`` (all ``<=`` and negated ``>=`` rows),
 * an equality block ``A_eq @ x == b_eq``,
 * per-variable bounds.
 
-The constraint blocks come in two flavours selected by the ``sparse`` flag of
-:func:`to_matrix_form`:
+It has two producers.  The scheduling modules' allocation LPs (Systems
+(2)/(3)/(5), LP (1)) are assembled straight into it by
+:func:`repro.core.formulations.build_allocation_model`, with no symbolic
+model in between.  Programs stated in the LP DSL (:class:`LinearProgram`)
+are lowered to it by :func:`to_matrix_form`.
+
+The constraint blocks come in two flavours, selected for lowered models by
+the ``sparse`` flag of :func:`to_matrix_form`:
 
 * **dense** (`numpy.ndarray`) — the historical representation, still required
   by the frozen reference tableau simplex
   (:mod:`repro.lp._tableau_legacy`) and convenient for small
   cross-validation LPs;
 * **sparse** (`scipy.sparse.csr_matrix`) — the production representation.  The
-  allocation LPs of the scheduling modules have a few non-zeros per row but
-  thousands of columns, so dense lowering wastes O(rows x cols) work and
-  memory where the sparse path is O(nnz).  Both production solvers consume
-  CSR blocks directly: HiGHS via :mod:`repro.lp.scipy_backend` (HiGHS
-  methods only — legacy scipy methods densify with a one-time warning) and
-  the in-house revised simplex of :mod:`repro.lp.revised_simplex`, which
-  works on the CSR/CSC blocks without ever materialising a dense tableau.
-  :meth:`MatrixForm.densified` converts back for the frozen tableau
-  reference.
+  allocation LPs have a few non-zeros per row but thousands of columns, so
+  dense blocks waste O(rows x cols) work and memory where the sparse path
+  is O(nnz).  Both production solvers consume CSR blocks directly: HiGHS
+  via :mod:`repro.lp.scipy_backend` (HiGHS methods only — legacy scipy
+  methods densify with a one-time warning) and the in-house revised simplex
+  of :mod:`repro.lp.revised_simplex`, which works on the CSR/CSC blocks
+  without ever materialising a dense tableau.  :meth:`MatrixForm.densified`
+  converts back for the frozen tableau reference.
 
-Assembly is vectorised in both flavours: coefficients are collected as COO
+Lowering is vectorised in both flavours: coefficients are collected as COO
 triplets in flat Python lists and scattered into the target matrix in one
 NumPy/SciPy call, instead of materialising one dense row per constraint.
 """

@@ -37,7 +37,9 @@ class _DigestableInstance(Protocol):
 #: modules whose edits require a bump is declared in
 #: :data:`repro.lint.epoch.SEMANTIC_MANIFEST` and enforced, git-diff-aware,
 #: by the ``epoch-guard`` lint rule (see ROADMAP.md, "Project invariants").
-CODE_EPOCH = "2005.6"  # revised-simplex LP path changes degenerate-vertex choices
+#: 2005.7 is a conservative bump: the allocation LPs are now assembled straight
+#: into CSR, bit-identical to the former LP-DSL lowering, so no metric moves.
+CODE_EPOCH = "2005.7"
 
 
 def canonical_digest(payload: Mapping[str, Any]) -> str:

@@ -146,9 +146,8 @@ def test_revised_simplex_smoke(monkeypatch):
     sparse System (3) lowering *without densifying it* and agrees with both
     scipy and the frozen tableau on the objective.
     """
-    from bench_lp_backends import _largest_bench_lp
+    from bench_lp_backends import _largest_bench_alloc
 
-    from repro.lp import to_matrix_form
     from repro.lp.revised_simplex import solve_matrix_form_revised
     from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
     from repro.lp.simplex import solve_matrix_form_tableau
@@ -156,17 +155,16 @@ def test_revised_simplex_smoke(monkeypatch):
 
     # (6, 3) lands on an infeasible milestone range, (12, 4) on a feasible
     # one: both verdicts must agree with scipy before any timing means much.
-    infeasible_form = to_matrix_form(_largest_bench_lp(6, 3), sparse=True)
+    infeasible_form = _largest_bench_alloc(6, 3).form
     assert (
         solve_matrix_form_revised(infeasible_form).solution.status
         is scipy_solve(infeasible_form).status
     )
 
-    model = _largest_bench_lp(12, 4)
-    sparse_form = to_matrix_form(model, sparse=True)
+    sparse_form = _largest_bench_alloc(12, 4).form
     assert sparse_form.is_sparse
-    tableau = solve_matrix_form_tableau(to_matrix_form(model, sparse=False))
-    reference = scipy_solve(to_matrix_form(model, sparse=True))
+    tableau = solve_matrix_form_tableau(sparse_form.densified())
+    reference = scipy_solve(sparse_form)
 
     monkeypatch.setattr(
         MatrixForm,

@@ -1,4 +1,4 @@
-"""Unit tests for the shared LP-skeleton builder (Systems (2)/(3)/(5))."""
+"""Unit tests for the shared LP-skeleton assembler (Systems (2)/(3)/(5))."""
 
 from __future__ import annotations
 
@@ -12,6 +12,18 @@ from repro.core.formulations import (
 )
 from repro.core.intervals import build_constant_intervals
 from repro.core.milestones import deadline_function
+from repro.lp.backends import solve_form
+
+
+def _columns(alloc):
+    """The ``(machine, job, interval)`` keys of the model's alpha columns."""
+    return set(
+        zip(
+            alloc.column_machines.tolist(),
+            alloc.column_jobs.tolist(),
+            alloc.column_intervals.tolist(),
+        )
+    )
 
 
 @pytest.fixture
@@ -27,24 +39,24 @@ class TestVariableCreation:
         alloc = build_allocation_model(instance, intervals, deadlines=None,
                                        objective_bounds=None)
         # Job B (released at 2) may not appear in the first interval [0, 2).
-        assert (0, 1, 0) not in alloc.variables
-        assert (0, 1, 1) in alloc.variables
+        assert (0, 1, 0) not in _columns(alloc)
+        assert (0, 1, 1) in _columns(alloc)
         # Job A may appear in both intervals on machine 0.
-        assert (0, 0, 0) in alloc.variables and (0, 0, 1) in alloc.variables
+        assert (0, 0, 0) in _columns(alloc) and (0, 0, 1) in _columns(alloc)
 
     def test_forbidden_machines_remove_variables(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 10.0])
         alloc = build_allocation_model(instance, intervals)
         # Machine 1 cannot process job B at all.
-        assert all((1, 1, t) not in alloc.variables for t in range(len(intervals)))
+        assert all((1, 1, t) not in _columns(alloc) for t in range(len(intervals)))
 
     def test_deadlines_remove_variables(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 10.0])
         deadlines = [Affine.const(2.0), Affine.const(10.0)]
         alloc = build_allocation_model(instance, intervals, deadlines=deadlines)
         # Job A's deadline is 2: it may not appear in the interval [2, 10).
-        assert (0, 0, 1) not in alloc.variables
-        assert (0, 0, 0) in alloc.variables
+        assert (0, 0, 1) not in _columns(alloc)
+        assert (0, 0, 0) in _columns(alloc)
 
     def test_impossible_job_yields_infeasible_model(self):
         jobs = [Job("A", 0.0, weight=1.0)]
@@ -52,8 +64,7 @@ class TestVariableCreation:
         intervals = build_constant_intervals([0.0, 1.0])  # deadline 1 < processing 5
         deadlines = [Affine.const(1.0)]
         alloc = build_allocation_model(instance, intervals, deadlines=deadlines)
-        solution = alloc.model.solve()
-        assert not solution.is_optimal or not alloc.model.check_solution(solution.values) == []
+        assert not solve_form(alloc.form).is_optimal
 
 
 class TestObjectiveVariable:
@@ -67,11 +78,11 @@ class TestObjectiveVariable:
             instance, intervals, deadlines=deadlines,
             objective_bounds=(1.0, 50.0), sample_objective=5.0,
         )
-        assert alloc.objective_variable is not None
-        assert alloc.objective_variable.lower == 1.0
-        assert alloc.objective_variable.upper == 50.0
-        solution = alloc.model.solve_or_raise()
-        assert 1.0 - 1e-9 <= solution.value(alloc.objective_variable) <= 50.0 + 1e-9
+        assert alloc.objective_column == 0
+        assert tuple(alloc.form.bounds[0]) == (1.0, 50.0)
+        assert alloc.form.c.tolist() == [1.0] + [0.0] * (alloc.num_variables - 1)
+        solution = solve_form(alloc.form).raise_unless_optimal(alloc.name)
+        assert 1.0 - 1e-9 <= solution.values[alloc.objective_column] <= 50.0 + 1e-9
 
     def test_affine_length_without_objective_variable_rejected(self, instance):
         # Interval lengths that depend on F require an objective variable.
@@ -86,7 +97,7 @@ class TestScheduleReconstruction:
     def test_divisible_and_preemptive_reconstruction(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 30.0])
         alloc = build_allocation_model(instance, intervals, preemptive=True)
-        solution = alloc.model.solve_or_raise()
+        solution = solve_form(alloc.form).raise_unless_optimal(alloc.name)
 
         divisible = divisible_schedule_from_solution(alloc, solution)
         divisible.validate()
@@ -97,8 +108,8 @@ class TestScheduleReconstruction:
     def test_allocation_extraction_drops_dust(self, instance):
         intervals = build_constant_intervals([0.0, 2.0, 30.0])
         alloc = build_allocation_model(instance, intervals)
-        solution = alloc.model.solve_or_raise()
+        solution = solve_form(alloc.form).raise_unless_optimal(alloc.name)
         fractions = alloc.allocation(solution)
         assert all(value > 1e-10 for value in fractions.values())
         # Every key refers to an existing variable.
-        assert set(fractions) <= set(alloc.variables)
+        assert set(fractions) <= _columns(alloc)
