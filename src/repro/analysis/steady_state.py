@@ -219,7 +219,8 @@ class SaturationScan:
         ``_SCAN_TRAJECTORY_CAP`` points), as plain floats.
     early_occupancy, final_occupancy:
         The occupancy-guard operands: mean of the first-quarter batches
-        and the final batch mean (both 0.0 when unscanned).
+        and mean of the final ``max(1, num_batches // 20)`` batches (both
+        0.0 when unscanned).
     """
 
     saturated: bool
@@ -273,11 +274,14 @@ def saturation_scan(
     is still drifting at its end, the MSER literature's "no steady state
     detected" verdict, and exactly the signature of a near-critical queue
     growing without bound.  That verdict — plus an absolute occupancy guard
-    (the final batch must sit ``occupancy_slack`` jobs above the early
+    (the final occupancy must sit ``occupancy_slack`` jobs above the early
     occupancy, so empty-ish systems never trigger) and a peak guard (the
-    final batch must sit near the trajectory's running maximum: a busy
+    final occupancy must sit near the trajectory's running maximum: a busy
     period that peaked mid-run and *recovered* is a burst, not growth) —
-    is the saturation flag.
+    is the saturation flag.  The *final occupancy* is the mean of the last
+    ``max(1, num_batches // 20)`` batches, not the last batch alone: a
+    stable queue whose single final batch spikes to its maximum is a burst
+    at the cut, not growth.
 
     Deliberately conservative, like the two-window mean test it replaces:
     the hard ``max_active`` cap in the simulator catches runaway queues;
@@ -302,7 +306,7 @@ def saturation_scan(
     truncation = int(np.argmin(statistic))
     head = num_batches // 4 if num_batches >= 4 else 1
     early_occupancy = float(batches[:head].mean())
-    final = float(batches[-1])
+    final = float(batches[-max(1, num_batches // 20) :].mean())
     if truncation <= num_batches // 2:
         saturated = False
     elif final <= early_occupancy + occupancy_slack:

@@ -48,6 +48,7 @@ SEMANTIC_MANIFEST: Tuple[str, ...] = (
     "src/repro/core/*.py",  # probes, replanning, milestones, formulations
     "src/repro/workload/*.py",  # generators/scenarios/streams behind workload keys
     "src/repro/analysis/campaign.py",  # record normalisation
+    "src/repro/analysis/executor.py",  # which stored cell answers a digest
     "src/repro/analysis/stream_sweep.py",  # stream-cell reports
     "src/repro/analysis/steady_state.py",  # batch-means estimators in reports
 )

@@ -37,9 +37,10 @@ class _DigestableInstance(Protocol):
 #: modules whose edits require a bump is declared in
 #: :data:`repro.lint.epoch.SEMANTIC_MANIFEST` and enforced, git-diff-aware,
 #: by the ``epoch-guard`` lint rule (see ROADMAP.md, "Project invariants").
-#: 2005.7 is a conservative bump: the allocation LPs are now assembled straight
-#: into CSR, bit-identical to the former LP-DSL lowering, so no metric moves.
-CODE_EPOCH = "2005.7"
+#: 2005.8: the MSER-5 saturation guards read the mean of the final
+#: ``num_batches // 20`` batches instead of the last batch, which flips the
+#: digested saturation verdict of stable cells that spiked at the cut.
+CODE_EPOCH = "2005.8"
 
 
 def canonical_digest(payload: Mapping[str, Any]) -> str:

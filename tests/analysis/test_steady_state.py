@@ -186,6 +186,23 @@ class TestSaturationScan:
         # Evidence only: the verdict bytes are unchanged by the fields.
         assert report.saturated == (result.saturated or scan.saturated)
 
+    def test_stable_cell_spiking_at_the_cut_is_not_saturated(self):
+        # A light cell (utilisation 0.35, peak 10 jobs) whose MSER cut lands
+        # at batch 398 of 400 because its last batch spikes to the
+        # trajectory maximum.  The guards read the mean of the final
+        # num_batches // 20 batches, so a burst at the cut is not growth.
+        spec = StreamSpec(
+            label="replicated-portal-5", scenario="replicated-portal", seed=2737364336
+        ).with_utilisation(0.5)
+        result = StreamingSimulator().run(
+            open_stream(spec), make_scheduler("greedy-weighted-flow"), max_arrivals=2000
+        )
+        scan = saturation_scan(result.queue_lengths)
+        assert (scan.truncation, scan.num_batches) == (398, 400)
+        assert not scan.saturated
+        assert scan.final_occupancy < 0.8 * max(scan.trajectory)
+        assert not analyse_stream(result).saturated
+
     def test_pre_pr8_payloads_still_round_trip(self):
         spec = StreamSpec(label="a", scenario="small-cluster", seed=6).with_utilisation(0.6)
         result = StreamingSimulator().run(

@@ -114,3 +114,6 @@ def test_manifest_covers_the_digest_dependencies():
     joined = "\n".join(SEMANTIC_MANIFEST)
     for prefix in ("simulation", "heuristics", "lp", "core", "workload"):
         assert f"src/repro/{prefix}/*.py" in joined
+    # The cell executor decides which stored cell answers a digest.
+    for module in ("campaign", "executor", "stream_sweep", "steady_state"):
+        assert f"src/repro/analysis/{module}.py" in SEMANTIC_MANIFEST
