@@ -28,7 +28,9 @@ __all__ = [
     "TimeInterval",
     "build_constant_intervals",
     "build_affine_intervals",
+    "order_affine_intervals",
     "distinct_sorted",
+    "merge_affine_times",
 ]
 
 
@@ -118,6 +120,49 @@ def build_constant_intervals(times: Sequence[float], tol: float = ABS_TOL) -> Li
     return intervals
 
 
+def merge_affine_times(epochal_times: Sequence[Affine], tol: float = ABS_TOL) -> List[Affine]:
+    """Drop the epochal times functionally identical to an earlier one.
+
+    The first of each group of identical functions is kept, in input order.
+    This is the ``O(n²)`` half of :func:`build_affine_intervals`; callers
+    ordering one set of epochal times at many sample objectives (one per
+    milestone range) merge once and call :func:`order_affine_intervals`.
+    """
+    if len(epochal_times) == 0:
+        raise InvalidInstanceError("cannot build intervals from an empty set of epochal times")
+    unique: List[Affine] = []
+    for candidate in epochal_times:
+        if not any(candidate.functionally_equal(existing, tol=tol) for existing in unique):
+            unique.append(candidate)
+    return unique
+
+
+def order_affine_intervals(
+    unique: Sequence[Affine],
+    sample_objective: float,
+    tol: float = ABS_TOL,
+) -> List[TimeInterval]:
+    """Build intervals from already merged affine epochal times (see
+    :func:`merge_affine_times`), ordered at ``sample_objective``."""
+    # Merge epochal times that coincide *at the sample objective*: inside a
+    # milestone range two distinct affine functions never cross, so values
+    # that coincide at the sample coincide over the whole range boundary-wise
+    # only at the range endpoints; treating them as a single cut keeps the
+    # interval set well formed in the degenerate case where the range has
+    # zero width.
+    ordered = sorted(unique, key=lambda fn: fn(sample_objective))
+    cuts: List[Affine] = []
+    for candidate in ordered:
+        if cuts and abs(candidate(sample_objective) - cuts[-1](sample_objective)) <= tol:
+            continue
+        cuts.append(candidate)
+
+    intervals: List[TimeInterval] = []
+    for index in range(len(cuts) - 1):
+        intervals.append(TimeInterval(index=index, lower=cuts[index], upper=cuts[index + 1]))
+    return intervals
+
+
 def build_affine_intervals(
     epochal_times: Sequence[Affine],
     sample_objective: float,
@@ -143,29 +188,6 @@ def build_affine_intervals(
         Consecutive intervals covering the span of the epochal times at the
         sample objective.
     """
-    if len(epochal_times) == 0:
-        raise InvalidInstanceError("cannot build intervals from an empty set of epochal times")
-
-    # Merge functionally identical epochal times.
-    unique: List[Affine] = []
-    for candidate in epochal_times:
-        if not any(candidate.functionally_equal(existing, tol=tol) for existing in unique):
-            unique.append(candidate)
-
-    # Merge epochal times that coincide *at the sample objective*: inside a
-    # milestone range two distinct affine functions never cross, so values
-    # that coincide at the sample coincide over the whole range boundary-wise
-    # only at the range endpoints; treating them as a single cut keeps the
-    # interval set well formed in the degenerate case where the range has
-    # zero width.
-    unique.sort(key=lambda fn: fn(sample_objective))
-    cuts: List[Affine] = []
-    for candidate in unique:
-        if cuts and abs(candidate(sample_objective) - cuts[-1](sample_objective)) <= tol:
-            continue
-        cuts.append(candidate)
-
-    intervals: List[TimeInterval] = []
-    for index in range(len(cuts) - 1):
-        intervals.append(TimeInterval(index=index, lower=cuts[index], upper=cuts[index + 1]))
-    return intervals
+    return order_affine_intervals(
+        merge_affine_times(epochal_times, tol), sample_objective, tol
+    )

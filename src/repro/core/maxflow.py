@@ -80,7 +80,7 @@ from .formulations import (
     preemptive_schedule_from_solution,
 )
 from .instance import Instance
-from .intervals import build_affine_intervals
+from .intervals import merge_affine_times, order_affine_intervals
 from .lower_bounds import max_weighted_flow_lower_bound
 from .milestones import compute_milestones, deadline_function
 from .schedule import Schedule
@@ -209,6 +209,12 @@ class FeasibilityProbe:
         #: Range ``k`` spans ``(boundaries[k], boundaries[k + 1]]`` (the last
         #: range is unbounded above).
         self._boundaries: List[float] = [0.0] + self.milestones
+        #: Every range cuts time at the same epochal times (deadlines and
+        #: releases), only in a different order: merge them once here.
+        self._deadlines = [deadline_function(job) for job in instance.jobs]
+        self._epochal_times = merge_affine_times(
+            self._deadlines + [Affine.const(job.release_date) for job in instance.jobs]
+        )
         #: LRU cache of parametric range models, capped at
         #: ``max_cached_ranges`` so that campaign-scale sweeps holding many
         #: probes alive stay in bounded memory (an evicted range is simply
@@ -374,13 +380,11 @@ class FeasibilityProbe:
         low = self._boundaries[k]
         high = self._boundaries[k + 1] if k + 1 < len(self._boundaries) else None
         sample = _range_sample(low, high)
-        deadlines = [deadline_function(job) for job in self.instance.jobs]
-        epochal = deadlines + [Affine.const(job.release_date) for job in self.instance.jobs]
-        intervals = build_affine_intervals(epochal, sample)
+        intervals = order_affine_intervals(self._epochal_times, sample)
         alloc = build_allocation_model(
             self.instance,
             intervals,
-            deadlines=deadlines,
+            deadlines=self._deadlines,
             objective_bounds=(low, high),
             sample_objective=sample,
             preemptive=self.preemptive,

@@ -215,7 +215,7 @@ class ReplanProbe:
         # whole bisection.  Keyed by (template key, job permutation); the
         # strong reference to the instance keeps identity checks sound.
         self._event_instance: Optional[Instance] = None
-        self._event_forms: Dict[Tuple, object] = {}
+        self._event_forms: Dict[Tuple, MatrixForm] = {}
         self.probes = 0
         self.lp_solves = 0
         self.model_constructions = 0
@@ -503,15 +503,17 @@ class ReplanProbe:
         only the interval lengths (right-hand sides) move with the probed
         deadlines — so when ``event_key`` names a (template, permutation)
         pair already refreshed for the current event instance, the whole
-        constraint-matrix rewrite is skipped and the cached matrix is reused
-        (both backends treat it as read-only).
+        constraint-matrix rewrite is skipped: the form refreshed for the
+        event is copied with the new right-hand sides, sharing its matrix
+        (every backend treats it as read-only) and the column-major layout
+        the scipy backend builds from it on the event's first solve.
         """
         form = template.form
         if not form.num_inequalities:
             return form
         b_ub = np.diff(cuts)[template.row_intervals]
-        a_ub = self._event_forms.get(event_key) if event_key is not None else None
-        if a_ub is None:
+        refreshed = self._event_forms.get(event_key) if event_key is not None else None
+        if refreshed is None:
             data = np.asarray(instance.costs)[
                 template.coef_machines, template.coef_jobs
             ].astype(float, copy=False)
@@ -523,19 +525,20 @@ class ReplanProbe:
                 a_ub = form.a_ub.copy()
                 a_ub[template.coef_rows, template.coef_cols] = data
             self.coefficient_refreshes += 1
+            refreshed = MatrixForm(
+                c=form.c,
+                objective_constant=form.objective_constant,
+                objective_sign=form.objective_sign,
+                a_ub=a_ub,
+                b_ub=b_ub,
+                a_eq=form.a_eq,
+                b_eq=form.b_eq,
+                bounds=form.bounds,
+            )
             if event_key is not None:
                 if len(self._event_forms) >= 16:  # one event touches few templates
                     self._event_forms.clear()
-                self._event_forms[event_key] = a_ub
-        else:
-            self.event_refresh_reuses += 1
-        return MatrixForm(
-            c=form.c,
-            objective_constant=form.objective_constant,
-            objective_sign=form.objective_sign,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=form.a_eq,
-            b_eq=form.b_eq,
-            bounds=form.bounds,
-        )
+                self._event_forms[event_key] = refreshed
+            return refreshed
+        self.event_refresh_reuses += 1
+        return replace(refreshed, b_ub=b_ub)

@@ -4,7 +4,7 @@ The paper expresses all of its scheduling results as linear programs; this
 subpackage provides the modelling objects used to state them and two
 interchangeable solving backends:
 
-* :mod:`repro.lp.scipy_backend` — SciPy's HiGHS wrapper (production backend);
+* :mod:`repro.lp.scipy_backend` — the HiGHS bundled with SciPy (production backend);
 * :mod:`repro.lp.simplex` — an in-house dense two-phase simplex used for
   cross-validation and the backend-ablation bench.
 

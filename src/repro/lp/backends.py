@@ -90,7 +90,7 @@ def backend_inventory() -> List[BackendInfo]:
             aliases=("scipy", "highs"),
             available=True,
             warm_start=False,
-            description="HiGHS via scipy.optimize.linprog (production default)",
+            description="scipy's bundled HiGHS, one fresh solver per LP (production default)",
         ),
         BackendInfo(
             label="simplex-revised",

@@ -9,7 +9,7 @@ extra (callers never silently downgrade; availability is surfaced by
 ``repro-sched info --lp-backends``).
 
 What the extra buys over the ``scipy`` backend (which also solves with
-HiGHS, but through :func:`scipy.optimize.linprog`'s one-shot API) is the
+HiGHS, scipy's bundled copy, with one fresh solver per LP) is the
 **kept-alive model**: :class:`HighsWarmModel` lowers a :class:`MatrixForm`
 into a ``highspy.Highs`` instance once and then re-solves after in-place
 bound/right-hand-side/coefficient updates, letting HiGHS warm-start its dual

@@ -197,13 +197,14 @@ class LinearProgram:
         Parameters
         ----------
         backend:
-            ``"scipy"`` (HiGHS through :func:`scipy.optimize.linprog`, the
-            default), ``"simplex"``/``"revised"`` (the in-house sparse
-            revised simplex), ``"tableau"`` (the frozen dense tableau
+            ``"scipy"`` (the HiGHS bundled with scipy, the default; it
+            takes no options), ``"simplex"``/``"revised"`` (the in-house
+            sparse revised simplex), ``"tableau"`` (the frozen dense tableau
             reference) or ``"highspy"`` (native HiGHS, requires the
             ``repro[highs]`` extra).
         kwargs:
-            Passed through to the backend.
+            Passed through to the backend (``max_iterations`` for the
+            simplex backends).
         """
         if backend in ("scipy", "highs", "scipy-highs"):
             from .scipy_backend import solve_with_scipy

@@ -24,9 +24,10 @@ the ``sparse`` flag of :func:`to_matrix_form`:
   allocation LPs have a few non-zeros per row but thousands of columns, so
   dense blocks waste O(rows x cols) work and memory where the sparse path
   is O(nnz).  Both production solvers consume CSR blocks directly: HiGHS
-  via :mod:`repro.lp.scipy_backend` (HiGHS methods only — legacy scipy
-  methods densify with a one-time warning) and the in-house revised simplex
-  of :mod:`repro.lp.revised_simplex`, which works on the CSR/CSC blocks
+  via :mod:`repro.lp.scipy_backend`, which loads the column-major stack of
+  the blocks (:meth:`MatrixForm.stacked_columns`, built once per constraint
+  matrix), and the in-house revised simplex of
+  :mod:`repro.lp.revised_simplex`, which works on the CSR/CSC blocks
   without ever materialising a dense tableau.  :meth:`MatrixForm.densified`
   converts back for the frozen tableau reference.
 
@@ -37,9 +38,9 @@ NumPy/SciPy call, instead of materialising one dense row per constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +53,20 @@ __all__ = ["MatrixForm", "to_matrix_form", "solve_constant_form"]
 
 #: A constraint block: dense 2-D array or CSR matrix.
 ConstraintBlock = Union[np.ndarray, sp.csr_matrix]
+
+
+class _StackedColumns:
+    """One-slot cache behind :meth:`MatrixForm.stacked_columns`.
+
+    Copies of a form share it by reference.  It remembers the blocks it was
+    built from, so a copy whose blocks were replaced rebuilds it.
+    """
+
+    __slots__ = ("blocks", "matrix")
+
+    def __init__(self) -> None:
+        self.blocks: Tuple[object, ...] = ()
+        self.matrix: Optional[sp.csc_array] = None
 
 
 @dataclass
@@ -76,8 +91,7 @@ class MatrixForm:
         Equality block, possibly empty, same flavour as ``a_ub``.
     bounds:
         ``(num_variables, 2)`` float array of ``(lower, upper)`` pairs, with
-        ``±inf`` for infinite bounds (consumed as-is by
-        :func:`scipy.optimize.linprog`).
+        ``±inf`` for infinite bounds.
     """
 
     c: np.ndarray
@@ -88,6 +102,11 @@ class MatrixForm:
     a_eq: ConstraintBlock
     b_eq: np.ndarray
     bounds: np.ndarray
+    #: Cache of :meth:`stacked_columns`, shared with every copy made by
+    #: :func:`dataclasses.replace`.
+    _columns: _StackedColumns = field(
+        default_factory=_StackedColumns, repr=False, compare=False
+    )
 
     @property
     def num_variables(self) -> int:
@@ -113,11 +132,10 @@ class MatrixForm:
         """Return an equivalent form with dense constraint blocks.
 
         Only the frozen tableau reference (:mod:`repro.lp._tableau_legacy`)
-        and scipy's legacy non-HiGHS methods need this; the production
-        solvers (HiGHS, the in-house revised simplex) consume the CSR blocks
-        directly.  Returns ``self`` when the form is already dense; the
-        vectors and the bounds list are shared either way (they are never
-        mutated by the backends).
+        needs this; the production solvers (HiGHS, the in-house revised
+        simplex) consume the CSR blocks directly.  Returns ``self`` when the
+        form is already dense; the vectors and the bounds list are shared
+        either way (they are never mutated by the backends).
         """
         if not self.is_sparse:
             return self
@@ -133,13 +151,39 @@ class MatrixForm:
         The constraint matrices are shared with ``self``, which makes this
         the cheap re-solve entry point used by the feasibility probes of
         :mod:`repro.core.maxflow`: only the bounds differ between probes.
+        The :meth:`stacked_columns` cache is not shared: those probes solve
+        a range's matrix about once, and a layout cached beside every range
+        they keep would only hold memory.
         """
         bounds = np.array(bounds, dtype=float)  # np.array (not asarray): always copy
         if bounds.shape != (self.num_variables, 2):
             raise ValueError(
                 f"expected a ({self.num_variables}, 2) bounds array, got {bounds.shape}"
             )
-        return replace(self, bounds=bounds)
+        return replace(self, bounds=bounds, _columns=_StackedColumns())
+
+    def stacked_columns(self) -> sp.csc_array:
+        """``[A_ub; A_eq]`` in compressed-column form, the layout HiGHS loads.
+
+        Built on the first call and shared by every copy of the form made
+        with :func:`dataclasses.replace` that keeps its constraint blocks,
+        so the replanning probe, re-solving one constraint matrix under new
+        right-hand sides across a bisection, converts it once.  The
+        layout is the one :func:`scipy.optimize.linprog` builds per call:
+        the blocks stacked as COO (sparse) or dense arrays, then converted
+        to CSC (row indices sorted within a column, explicit zeros of a
+        sparse block kept).
+        """
+        cache = self._columns
+        built_from = cache.blocks
+        if not built_from or built_from[0] is not self.a_ub or built_from[1] is not self.a_eq:
+            if self.is_sparse:
+                stacked = sp.vstack((sp.coo_array(self.a_ub), sp.coo_array(self.a_eq)))
+            else:
+                stacked = np.vstack((self.a_ub, self.a_eq))
+            cache.matrix = sp.csc_array(stacked)
+            cache.blocks = (self.a_ub, self.a_eq)
+        return cache.matrix
 
     def restore_objective(self, minimised_value: float) -> float:
         """Map the backend's minimised value back to the model's objective."""

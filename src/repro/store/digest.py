@@ -40,7 +40,10 @@ class _DigestableInstance(Protocol):
 #: 2005.8: the MSER-5 saturation guards read the mean of the final
 #: ``num_batches // 20`` batches instead of the last batch, which flips the
 #: digested saturation verdict of stable cells that spiked at the cut.
-CODE_EPOCH = "2005.8"
+#: 2005.9: the scipy LP backend calls scipy's bundled HiGHS directly instead
+#: of through ``linprog`` (same model, options and solutions bit for bit) —
+#: a guard-required bump under which no stored value changes.
+CODE_EPOCH = "2005.9"
 
 
 def canonical_digest(payload: Mapping[str, Any]) -> str:

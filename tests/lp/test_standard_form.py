@@ -110,6 +110,27 @@ class TestSparseLowering:
         with pytest.raises(ValueError):
             form.with_bounds(np.zeros((2, 2)))
 
+    def test_stacked_columns_are_cached_per_constraint_matrix(self):
+        from dataclasses import replace
+
+        form = to_matrix_form(_mixed_model(), sparse=True)
+        columns = form.stacked_columns()
+        np.testing.assert_array_equal(
+            columns.toarray(), np.vstack((form.a_ub.toarray(), form.a_eq.toarray()))
+        )
+        assert form.stacked_columns() is columns
+        # Copies keeping the blocks share the layout, except with_bounds copies.
+        assert replace(form, b_ub=form.b_ub + 1.0).stacked_columns() is columns
+        assert form.with_bounds(form.bounds).stacked_columns() is not columns
+        # A copy with a new block rebuilds, even though it shares the cache.
+        scaled = replace(form, a_ub=form.a_ub * 2.0)
+        np.testing.assert_array_equal(
+            scaled.stacked_columns().toarray()[: form.num_inequalities],
+            2.0 * form.a_ub.toarray(),
+        )
+        assert form.stacked_columns() is not columns  # rebuilt for form again
+        np.testing.assert_array_equal(form.stacked_columns().toarray(), columns.toarray())
+
     def test_with_bounds_copies_its_input(self):
         # with_bounds must defend against later caller mutation — the bounds
         # array of a lowered form aliases the model-level cache.
@@ -126,7 +147,7 @@ class TestSparseLowering:
 
     def test_zero_variable_forms_solve_cleanly(self):
         # The form-level entry points must handle variable-free programs
-        # (linprog rejects an empty cost vector).
+        # (HiGHS needs at least one column).
         from repro.lp.scipy_backend import solve_matrix_form as scipy_solve
         from repro.lp.simplex import solve_matrix_form as simplex_solve
 
